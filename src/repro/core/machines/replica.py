@@ -73,8 +73,9 @@ class ReplicaMachine:
             raise ProtocolError(f"peers list must include the host {host!r}")
         self.host = host
         self.peers = list(peers)
-        #: duck-typed: only ``grant_ttl`` and ``enable_bulletin`` are read,
-        #: and they are read per-call so live config mutation is honoured.
+        #: duck-typed: ``grant_ttl`` and ``enable_bulletin`` are read
+        #: per-call, so live config mutation is honoured; ``ul_retention``
+        #: is read once, here.
         self.tunables = tunables
 
         self.store = VersionedStore()
@@ -95,15 +96,11 @@ class ReplicaMachine:
         self.grant_epoch: int = 0
         self.grant_expires_at: float = float("-inf")
 
-        #: delta-view data plane (opt-in): a mutation journal that lets
-        #: :meth:`begin_visit` hand returning visitors only what changed
-        #: since their acknowledged sequence. ``None`` = classic plane;
-        #: nothing below journals and every view ships unstamped.
-        self.journal: Optional[DeltaJournal] = (
-            DeltaJournal(host)
-            if getattr(tunables, "delta_views", False)
-            else None
-        )
+        #: the mutation journal behind every shared view: each view is
+        #: stamped with its ``seq``, and :meth:`begin_visit` hands a
+        #: returning visitor only what changed since its acknowledged
+        #: sequence.
+        self.journal = DeltaJournal(host)
 
         self.acks_sent = 0
         self.nacks_sent = 0
@@ -131,12 +128,12 @@ class ReplicaMachine:
         :meth:`post_bulletin` by the driver.
 
         ``acked`` is the visitor's acknowledged sequence for this server
-        (:meth:`LockingTable.acked_seq`). When the delta plane is on and
-        the journal still retains that base, the handed view is a
-        :class:`SharedViewDelta` covering only what changed since —
-        including this visit's own enqueue, exactly like the full
-        snapshot would. First contact (``acked`` = -1), an evicted base,
-        or the classic plane all fall back to the full snapshot.
+        (:meth:`LockingTable.acked_seq`). When the journal still retains
+        that base, the handed view is a :class:`SharedViewDelta`
+        covering only what changed since — including this visit's own
+        enqueue, exactly like the full snapshot would. First contact
+        (``acked`` = -1), an evicted or reset base, or no ``acked`` at
+        all fall back to the full snapshot.
         """
         effects: List[Effect] = []
         enqueued = False
@@ -147,7 +144,7 @@ class ReplicaMachine:
             effects.extend(self.request_lock(agent_id, request_id, now))
             enqueued = True
         view: Any = None
-        if self.journal is not None and acked is not None:
+        if acked is not None:
             view = self.delta_view(now, acked)
         if view is None:
             view = self.lock_view(now)
@@ -175,8 +172,7 @@ class ReplicaMachine:
             LockEntry(agent_id=agent_id, request_id=request_id,
                       enqueued_at=now)
         )
-        if self.journal is not None:
-            self.journal.bump("enq", agent_id)
+        self.journal.bump("enq", agent_id)
         return [QueueChanged()]
 
     def requeue_lock(
@@ -195,10 +191,9 @@ class ReplicaMachine:
             LockEntry(agent_id=agent_id, request_id=request_id,
                       enqueued_at=now)
         )
-        if self.journal is not None:
-            if removed:
-                self.journal.bump("deq", agent_id)
-            self.journal.bump("enq", agent_id)
+        if removed:
+            self.journal.bump("deq", agent_id)
+        self.journal.bump("enq", agent_id)
         return [ReleaseNotify()]
 
     def lock_view(self, now: float) -> SharedView:
@@ -210,22 +205,20 @@ class ReplicaMachine:
             view=self.locking_list.view(),
             updated=self.updated_list.as_set(),
             versions=self.store.version_vector(),
-            seq=self.journal.seq if self.journal is not None else -1,
+            seq=self.journal.seq,
         )
 
     def delta_view(
         self, now: float, base_seq: int
     ) -> Optional[SharedViewDelta]:
         """Delta since ``base_seq``, or None when only a full snapshot
-        will do (classic plane, first contact, base evicted/reset).
+        will do (first contact, base evicted/reset).
 
         Under a finite ``ul_retention`` the receiver's reconstructed
         ``updated`` set is a monotone *superset* of this server's pruned
         UL — safe (finished is monotone knowledge; pruning only forgets),
         and exact in the default keep-forever configuration.
         """
-        if self.journal is None:
-            return None
         self.updated_list.prune(now)
         return self.journal.delta_since(base_seq, now)
 
@@ -381,8 +374,7 @@ class ReplicaMachine:
                     )
                 )
                 self.commits_applied += 1
-                if journal is not None:
-                    journal.bump("ver", (write.key, write.version))
+                journal.bump("ver", (write.key, write.version))
                 effects.append(
                     CommitApplied(
                         payload.agent_id, write.request_id,
@@ -393,11 +385,10 @@ class ReplicaMachine:
         self.release_grant(payload.agent_id)
         removed = self.locking_list.remove(payload.agent_id)
         finished = self.updated_list.add(payload.agent_id, at=now)
-        if journal is not None:
-            if removed:
-                journal.bump("deq", payload.agent_id)
-            if finished:
-                journal.bump("fin", payload.agent_id)
+        if removed:
+            journal.bump("deq", payload.agent_id)
+        if finished:
+            journal.bump("fin", payload.agent_id)
         effects.append(QueueChanged())
         effects.append(ReleaseNotify())
         return effects
@@ -408,11 +399,10 @@ class ReplicaMachine:
         self.release_grant(payload.agent_id)
         removed = self.locking_list.remove(payload.agent_id)
         finished = self.updated_list.add(payload.agent_id, at=now)
-        if self.journal is not None:
-            if removed:
-                self.journal.bump("deq", payload.agent_id)
-            if finished:
-                self.journal.bump("fin", payload.agent_id)
+        if removed:
+            self.journal.bump("deq", payload.agent_id)
+        if finished:
+            self.journal.bump("fin", payload.agent_id)
         return [QueueChanged(), ReleaseNotify()]
 
     def _on_release(self, payload: UpdatePayload) -> List[Effect]:
@@ -447,11 +437,10 @@ class ReplicaMachine:
                 self.locking_list.remove(agent_id)
         if self.grant_holder is not None and self.grant_holder in self.updated_list:
             self.release_grant(self.grant_holder)
-        if self.journal is not None:
-            # Recovery rewrote store/UL/LL state in one stroke; rather
-            # than journal a bulk diff, invalidate the window so every
-            # visitor takes the full-snapshot fallback once.
-            self.journal.reset()
+        # Recovery rewrote store/UL/LL state in one stroke; rather than
+        # journal a bulk diff, invalidate the window so every visitor
+        # takes the full-snapshot fallback once.
+        self.journal.reset()
         return [Recovered(src), QueueChanged(), ReleaseNotify()]
 
     def _on_read_query(

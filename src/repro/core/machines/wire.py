@@ -33,12 +33,12 @@ class SharedView:
     that server had applied.
 
     ``seq`` is the server's monotone mutation sequence number at
-    snapshot time, stamped only when the delta-view data plane is on
-    (``-1`` = unstamped, the classic full-view plane). A receiver that
-    has already merged this server's state through ``seq`` can discard
-    the whole view in O(1): with the paper's keep-forever Updated List,
-    everything a lower-or-equal-seq snapshot knows is a subset of what
-    the receiver merged.
+    snapshot time; every :class:`ReplicaMachine` snapshot is stamped
+    (``-1`` = unstamped, only for views built outside a replica). A
+    receiver that has already merged this server's state through ``seq``
+    can discard the whole view in O(1): with the paper's keep-forever
+    Updated List, everything a lower-or-equal-seq snapshot knows is a
+    subset of what the receiver merged.
     """
 
     host: str

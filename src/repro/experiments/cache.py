@@ -47,9 +47,11 @@ __all__ = [
     "result_payload",
 ]
 
-#: Bump when the cached RunResult surface changes shape; invalidates
-#: every existing entry (alongside the package version).
-CACHE_SCHEMA_VERSION = 2
+#: Bump when the cached RunResult surface changes shape, or when the
+#: same config now produces different result values (a protocol or
+#: cost-model change); invalidates every existing entry (alongside the
+#: package version).
+CACHE_SCHEMA_VERSION = 3
 
 #: Config fields introduced after the fingerprint contract was frozen.
 #: They are omitted from the payload while at their default value, so a
@@ -64,7 +66,6 @@ _OMIT_AT_DEFAULT: Dict[str, Any] = {
     "workload_chunk": None,
     "ul_retention": None,
     "inbox_ttl": None,
-    "delta_views": False,
 }
 
 

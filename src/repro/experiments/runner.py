@@ -100,10 +100,6 @@ class RunConfig:
     #: accumulate without bound and make long runs quadratic). None =
     #: keep everything, the exact historical semantics.
     inbox_ttl: Optional[float] = None
-    #: Delta-view data plane: agents and replicas exchange
-    #: SharedViewDeltas and compact suitcase encodings (see
-    #: ProtocolTunables.delta_views). MARP-only; baselines ignore it.
-    delta_views: bool = False
 
     def with_(self, **changes) -> "RunConfig":
         """A modified copy (convenience for sweeps)."""
@@ -190,7 +186,6 @@ def _build_deployment(config: RunConfig) -> Deployment:
         update_apply_time=config.update_apply_time,
         enable_bulletin=config.enable_bulletin,
         ul_retention=config.ul_retention,
-        delta_views=config.delta_views,
     )
     topology = None
     if config.topology == "random-costs":
@@ -217,7 +212,6 @@ def build_protocol(deployment: Deployment, config: RunConfig):
             itinerary=config.itinerary,
             batch_size=config.batch_size,
             read_strategy=config.read_strategy,
-            delta_views=config.delta_views,
         )
         return MARP(deployment, config=marp_config)
     cls = PROTOCOLS.get(config.protocol)

@@ -52,9 +52,6 @@ class ScaleVariant:
     n_keys: int = 16
     key_skew: float = 0.9
     latency: str = "lan"
-    #: delta-view data plane (hundreds-of-replicas sweeps need it: the
-    #: per-tour SharedView merge cost dominates otherwise).
-    delta_views: bool = False
 
     def payload(self) -> Dict[str, Any]:
         return {
@@ -63,7 +60,6 @@ class ScaleVariant:
             "n_keys": self.n_keys,
             "key_skew": self.key_skew,
             "latency": self.latency,
-            "delta_views": self.delta_views,
         }
 
 
@@ -226,20 +222,13 @@ def replica_sweep_variants(
     n_keys: int = 256,
     key_skew: float = 0.9,
     latency: str = "lan",
-    delta_views: bool = True,
 ) -> List[ScaleVariant]:
-    """The hundreds-of-replicas axis: one variant per cluster size.
-
-    Defaults to the delta-view data plane — at these sizes each agent
-    carries O(N) views and every visit re-merges them, so the full plane
-    spends its time in Table.update rather than in the protocol under
-    test. Pass ``delta_views=False`` for the A/B against the full plane.
-    """
+    """The hundreds-of-replicas axis: one variant per cluster size."""
     return [
         ScaleVariant(
-            label=f"N={n}{'' if delta_views else '/full'}",
+            label=f"N={n}",
             n_replicas=n, n_keys=n_keys, key_skew=key_skew,
-            latency=latency, delta_views=delta_views,
+            latency=latency,
         )
         for n in counts
     ]
@@ -250,7 +239,6 @@ def geo_variants(
     n_keys: int = 256,
     key_skew: float = 0.9,
     profiles: Sequence[str] = ("lan", "wan", "hybrid"),
-    delta_views: bool = True,
 ) -> List[ScaleVariant]:
     """The geo-topology axis at one cluster size: lan / wan / hybrid.
 
@@ -262,7 +250,7 @@ def geo_variants(
         ScaleVariant(
             label=f"geo={profile}",
             n_replicas=n_replicas, n_keys=n_keys, key_skew=key_skew,
-            latency=profile, delta_views=delta_views,
+            latency=profile,
         )
         for profile in profiles
     ]
@@ -307,7 +295,6 @@ def scale_config(
         workload_chunk=workload_chunk,
         ul_retention=ul_retention,
         inbox_ttl=inbox_ttl,
-        delta_views=variant.delta_views,
     )
 
 

@@ -53,7 +53,6 @@ FIELD_CHANGES = {
     "workload_chunk": 256,
     "ul_retention": 5_000.0,
     "inbox_ttl": 10_000.0,
-    "delta_views": True,
 }
 
 

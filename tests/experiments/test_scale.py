@@ -66,21 +66,14 @@ class TestVariants:
     def test_replica_sweep_covers_hundreds_with_delta_plane(self):
         variants = replica_sweep_variants()
         assert [v.n_replicas for v in variants] == [100, 150, 200, 300]
-        assert all(v.delta_views for v in variants)
-        full = replica_sweep_variants(counts=(200,), delta_views=False)
-        assert full[0].label == "N=200/full" and not full[0].delta_views
+        assert [v.label for v in variants] == [
+            "N=100", "N=150", "N=200", "N=300",
+        ]
 
     def test_geo_matrix_spans_lan_wan_hybrid(self):
         variants = geo_variants()
         assert [v.latency for v in variants] == ["lan", "wan", "hybrid"]
         assert len({v.label for v in variants}) == 3
-
-    def test_variant_delta_flag_reaches_the_run_config(self):
-        variant = ScaleVariant(label="d", delta_views=True)
-        assert scale_config("marp", variant, 50.0, 100).delta_views
-        assert not scale_config(
-            "marp", ScaleVariant(label="f"), 50.0, 100
-        ).delta_views
 
 
 class TestScaleConfig:

@@ -15,18 +15,23 @@ or when exactly a fault lands. Chains are normalized to
 canonical-JSON + sha256 recipe as ``repro.experiments.cache
 .result_fingerprint``.
 
+Shared views travel as deltas against each visitor's acknowledged
+sequence, with a full snapshot as the fallback. The DES path also runs
+with every replica's journal capacity at 0, so each visit after a change
+takes that fallback; the chains must not change.
+
 This file is the ``runtime-parity`` CI job's workload.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from repro.core.protocol import MARP
-from repro.net.faults import CrashSchedule, FaultPlan
+from repro.net.faults import FaultPlan
 from repro.replication.deployment import Deployment
 from repro.runtime import LiveCluster
 
@@ -117,11 +122,18 @@ def crashed_indices(scenario: Scenario) -> set:
 # -- DES backend -------------------------------------------------------------
 
 
-def run_des(scenario: Scenario) -> Dict[str, List[Tuple[int, int]]]:
+def run_des(
+    scenario: Scenario, journal_capacity: Optional[int] = None
+) -> Dict[str, List[Tuple[int, int]]]:
+    """The DES run; ``journal_capacity`` overrides every replica's
+    delta-journal window (0 = full-snapshot fallback after any change)."""
     faults = FaultPlan.none()
     for index in scenario.down_from_start:
         faults.crashes.add(f"s{index}", 0.0, FOREVER)
     dep = Deployment(n_replicas=scenario.n, seed=scenario.seed, faults=faults)
+    if journal_capacity is not None:
+        for server in dep.servers.values():
+            server.machine.journal.capacity = journal_capacity
     marp = MARP(dep)
     rid_to_index: Dict[int, int] = {}
     for number, (home_index, key) in enumerate(scenario.writes, start=1):
@@ -204,3 +216,11 @@ class TestCommitChainConformance:
         assert des_chains == expected
         assert live_chains == expected
         assert chain_fingerprint(des_chains) == chain_fingerprint(live_chains)
+
+    def test_des_full_snapshot_fallback_produces_expected_chains(
+        self, scenario
+    ):
+        expected = expected_chains(scenario)
+        fallback_chains = run_des(scenario, journal_capacity=0)
+        assert fallback_chains == expected
+        assert chain_fingerprint(fallback_chains) == chain_fingerprint(expected)
