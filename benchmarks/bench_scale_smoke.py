@@ -5,7 +5,7 @@ Three checks under explicit budgets, each in its own subprocess so
 
 1. **Bulk streaming run** — a 100k-request Zipf scenario (the canonical
    ``scale_config``: 5 replicas x 20k requests, 256 keys, skew 0.99,
-   vectorized workload, hygiene windows) must finish consistent within
+   vectorized workload, UL retention window) must finish consistent within
    the wall-clock and peak-RSS budgets below. This is the shape of the
    acceptance 1M run at a CI-compatible size; throughput is linear in
    request count past ~10k, so a 100k pass predicts the 1M behaviour.
@@ -25,8 +25,9 @@ Three checks under explicit budgets, each in its own subprocess so
 Runs standalone (``python benchmarks/bench_scale_smoke.py [OUT.json]``)
 and under pytest. Budgets are generous vs the measured values (locally
 the bulk run takes ~2 min and ~130 MB) to absorb shared-runner noise
-without letting a quadratic regression through: the pre-hygiene data
-plane blew the wall budget at this size by an order of magnitude.
+without letting a quadratic regression through: the data plane before
+UL retention and keyed mailboxes blew the wall budget at this size by
+an order of magnitude.
 """
 
 import json

@@ -26,6 +26,7 @@ from typing import Deque, Dict, Optional
 
 from repro.baselines.base import BaselineDaemon, QuorumProtocol
 from repro.net.message import Message
+from repro.net.routing import ladder_key
 from repro.replication.deployment import Deployment
 from repro.replication.requests import RequestRecord
 from repro.replication.server import WriteOp
@@ -128,6 +129,8 @@ class AvailableCopies(QuorumProtocol):
         grants: Dict[str, int] = {}  # host -> version at grant
         skipped = []
         for host in self.deployment.hosts:
+            rung = ladder_key(record.request_id, host)
+            endpoint.open(rung)
             endpoint.send(
                 host,
                 f"{prefix}_LOCK",
@@ -138,19 +141,12 @@ class AvailableCopies(QuorumProtocol):
                     "reply_to": record.home,
                 },
             )
-            grant = endpoint.receive(
-                kind=f"{prefix}_GRANT",
-                match=lambda m, h=host: (
-                    m.payload["rid"] == record.request_id
-                    and m.payload["from"] == h
-                ),
-            )
+            grant = endpoint.receive(rung)
             yield grant | env.timeout(self.detection_timeout)
+            endpoint.close(rung)
             if grant.processed:
                 grants[host] = grant.value.payload["version"]
             else:
-                if not grant.triggered:
-                    grant.succeed(None)
                 # Declared unavailable; cancel the (possibly queued) lock.
                 endpoint.send(
                     host,

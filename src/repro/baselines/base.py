@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.net.message import Message
+from repro.net.routing import daemon_key, grant_key, rval_key
 from repro.replication.deployment import Deployment
 from repro.core.machines.structures import CommitRecord
 from repro.replication.protocol import ReplicationProtocol
@@ -45,12 +46,6 @@ class BaselineDaemon:
         self.endpoint = protocol.deployment.platform(host).endpoint
         self.server = protocol.deployment.server(host)
         prefix = protocol.prefix
-        self._kinds = {
-            f"{prefix}_LOCK",
-            f"{prefix}_APPLY",
-            f"{prefix}_ABORT",
-            f"{prefix}_READV",
-        }
         # key -> (holder rid, holder epoch, lease expiry). The epoch
         # guards against a retry's LOCK overtaking the previous
         # attempt's ABORT in the network: a release may only clear a
@@ -64,10 +59,9 @@ class BaselineDaemon:
 
     def _loop(self):
         prefix = self.protocol.prefix
+        key = daemon_key(prefix)
         while True:
-            msg: Message = yield self.endpoint.receive(
-                match=lambda m: m.kind in self._kinds
-            )
+            msg: Message = yield self.endpoint.receive(key)
             if not self.network.host_up(self.host):
                 continue
             apply_time = self.server.config.update_apply_time
@@ -261,6 +255,8 @@ class QuorumProtocol(ReplicationProtocol):
 
         for attempt in range(1, self.max_rounds + 1):
             epoch = attempt
+            round_key = grant_key(prefix, record.request_id, epoch)
+            endpoint.open(round_key)
             endpoint.broadcast(
                 f"{prefix}_LOCK",
                 payload={
@@ -272,8 +268,9 @@ class QuorumProtocol(ReplicationProtocol):
                 include_self=True,
             )
             grants, granted_votes = yield from self._gather_grants(
-                endpoint, record.request_id, epoch
+                endpoint, round_key
             )
+            endpoint.close(round_key)
             if granted_votes >= self.write_quorum:
                 record.lock_acquired_at = env.now
                 record.extra["lock_rounds"] = attempt
@@ -305,7 +302,7 @@ class QuorumProtocol(ReplicationProtocol):
         record.extra["lock_rounds"] = self.max_rounds
         record.status = "failed"
 
-    def _gather_grants(self, endpoint, rid: int, epoch: int):
+    def _gather_grants(self, endpoint, round_key):
         """Collect GRANT/NACK replies until quorum, impossibility or
         timeout. Returns ``(grants, granted_votes)``."""
         env = self.env
@@ -315,17 +312,9 @@ class QuorumProtocol(ReplicationProtocol):
         granted_votes = 0
         deadline = env.timeout(self.lock_timeout)
         while granted_votes < self.write_quorum:
-            reply = endpoint.receive(
-                match=lambda m: (
-                    m.kind in (f"{prefix}_GRANT", f"{prefix}_NACK")
-                    and m.payload["rid"] == rid
-                    and m.payload["epoch"] == epoch
-                ),
-            )
+            reply = endpoint.receive(round_key)
             yield reply | deadline
             if not reply.processed:
-                if not reply.triggered:
-                    reply.succeed(None)
                 break
             msg = reply.value
             p = msg.payload
@@ -381,6 +370,8 @@ class QuorumProtocol(ReplicationProtocol):
         endpoint = self.deployment.platform(record.home).endpoint
         prefix = self.prefix
         record.dispatched_at = env.now
+        round_key = rval_key(prefix, record.request_id)
+        endpoint.open(round_key)
         endpoint.broadcast(
             f"{prefix}_READV",
             payload={
@@ -395,14 +386,9 @@ class QuorumProtocol(ReplicationProtocol):
         replied: Set[str] = set()
         deadline = env.timeout(self.lock_timeout)
         while votes < self.read_quorum:
-            reply = endpoint.receive(
-                kind=f"{prefix}_RVAL",
-                match=lambda m: m.payload["rid"] == record.request_id,
-            )
+            reply = endpoint.receive(round_key)
             yield reply | deadline
             if not reply.processed:
-                if not reply.triggered:
-                    reply.succeed(None)
                 break
             p = reply.value.payload
             if p["from"] in replied:
@@ -411,6 +397,7 @@ class QuorumProtocol(ReplicationProtocol):
             votes += p["votes"]
             if p["version"] >= best_version:
                 best_version, best_value = p["version"], p["value"]
+        endpoint.close(round_key)
         record.value = best_value
         record.extra["version"] = best_version
         record.completed_at = env.now

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.net.message import Message
+from repro.net.routing import PC_BACKUP, PC_PRIMARY, done_key
 from repro.replication.deployment import Deployment
 from repro.core.machines.structures import CommitRecord
 from repro.replication.protocol import ReplicationProtocol
@@ -50,7 +51,7 @@ class PrimaryCopy(ReplicationProtocol):
         server = self.deployment.server(self.primary)
         network = self.deployment.network
         while True:
-            msg: Message = yield endpoint.receive(kind="PC_WRITE")
+            msg: Message = yield endpoint.receive(PC_PRIMARY)
             if not network.host_up(self.primary):
                 continue
             if server.config.update_apply_time > 0:
@@ -112,7 +113,7 @@ class PrimaryCopy(ReplicationProtocol):
         # predecessors arrive.
         reorder: dict = {}  # key -> {version: (write, origin)}
         while True:
-            msg: Message = yield endpoint.receive(kind="PC_APPLY")
+            msg: Message = yield endpoint.receive(PC_BACKUP)
             if not network.host_up(host):
                 continue
             if server.config.update_apply_time > 0:
@@ -142,6 +143,8 @@ class PrimaryCopy(ReplicationProtocol):
         env = self.env
         endpoint = self.deployment.platform(record.home).endpoint
         record.dispatched_at = env.now
+        reply_key = done_key(record.request_id)
+        endpoint.open(reply_key)
         endpoint.send(
             self.primary,
             "PC_WRITE",
@@ -152,17 +155,13 @@ class PrimaryCopy(ReplicationProtocol):
                 "origin": record.home,
             },
         )
-        done = endpoint.receive(
-            kind="PC_DONE",
-            match=lambda m: m.payload["rid"] == record.request_id,
-        )
+        done = endpoint.receive(reply_key)
         yield done | env.timeout(self.write_timeout)
+        endpoint.close(reply_key)
         if done.processed:
             record.completed_at = env.now
             record.status = "committed"
         else:
-            if not done.triggered:
-                done.succeed(None)
             record.completed_at = env.now
             record.status = "failed"
 

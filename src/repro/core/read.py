@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.net.routing import read_key
 from repro.replication.requests import RequestRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,6 +46,8 @@ def start_quorum_read(marp: "MARP", record: RequestRecord) -> None:
         env = marp.env
         endpoint = marp.deployment.platform(record.home).endpoint
         majority = marp.deployment.majority
+        round_key = read_key(record.request_id)
+        endpoint.open(round_key)
         endpoint.broadcast(
             "READQ",
             payload={"request_id": record.request_id, "key": record.key},
@@ -55,20 +58,16 @@ def start_quorum_read(marp: "MARP", record: RequestRecord) -> None:
         replies = 0
         deadline = env.timeout(marp.config.ack_timeout)
         while replies < majority:
-            get_reply = endpoint.receive(
-                "READR",
-                match=lambda m: m.payload["request_id"] == record.request_id,
-            )
+            get_reply = endpoint.receive(round_key)
             yield get_reply | deadline
             if not get_reply.processed:
-                if not get_reply.triggered:
-                    get_reply.succeed(None)
                 break
             payload = get_reply.value.payload
             replies += 1
             if payload["version"] >= best_version:
                 best_version = payload["version"]
                 best_value = payload["value"]
+        endpoint.close(round_key)
         record.value = best_value
         record.extra["version"] = best_version
         record.extra["read_strategy"] = "quorum"

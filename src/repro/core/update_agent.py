@@ -55,6 +55,7 @@ from repro.core.machines.events import (
     TimerFired,
 )
 from repro.core.machines.table import LockingTable
+from repro.net.routing import claim_key, read_key
 from repro.replication.server import ReplicaServer
 from repro.replication.requests import RequestRecord
 
@@ -96,6 +97,8 @@ class UpdateAgent(MobileAgent):
         #: the live claim-round deadline (an env.timeout event), if any
         self._deadline = None
         self._deadline_kind: Optional[str] = None
+        #: the open mailbox key of the awaited claim-round replies, if any
+        self._reply_key = None
 
         # Observability: resolve the deployment's hub once; every record
         # below is guarded by a single `is not None` check, so a run
@@ -223,6 +226,7 @@ class UpdateAgent(MobileAgent):
         # The creating server is the first visit (no migration needed).
         queue = deque((yield from self._visit_current()))
         while not self._finished:
+            self._sync_reply_key()
             if not queue:
                 # The batch left the machine blocked on claim replies.
                 queue.extend((yield from self._await_reply()))
@@ -364,36 +368,43 @@ class UpdateAgent(MobileAgent):
 
     # -- the claim round (UPDATE / ACK / COMMIT) ------------------------------------
 
+    def _sync_reply_key(self) -> None:
+        """Keep exactly the awaited round's reply mailbox open.
+
+        Runs after every machine step and before its effects, so the
+        key is open before the UPDATE (or READQ) that triggers the
+        replies goes out, and closed as soon as the round moves on.
+        """
+        awaiting = self.machine.awaiting
+        if awaiting == "acks":
+            key = claim_key(self.batch_id, self.core.epoch)
+        elif awaiting == "fetch":
+            key = read_key(
+                (self.batch_id, self.core.epoch, self.core.fetch_key)
+            )
+        else:
+            key = None
+        if key == self._reply_key:
+            return
+        endpoint = self.platform.endpoint
+        if self._reply_key is not None:
+            endpoint.close(self._reply_key)
+        if key is not None:
+            endpoint.open(key)
+        self._reply_key = key
+
     def _await_reply(self):
         """Block on the next claim-round reply or the pending deadline."""
         env = self.platform.env
-        endpoint = self.platform.endpoint
-        awaiting = self.machine.awaiting
-        if awaiting == "acks":
-            epoch = self.core.epoch
-            reply = endpoint.receive(
-                match=lambda m: (
-                    m.kind in ("ACK", "NACK")
-                    and m.payload["batch_id"] == self.batch_id
-                    and m.payload["epoch"] == epoch
-                ),
-            )
-        elif awaiting == "fetch":
-            fetch_id = (self.batch_id, self.core.epoch, self.core.fetch_key)
-            reply = endpoint.receive(
-                kind="READR",
-                match=lambda m: m.payload["request_id"] == fetch_id,
-            )
-        else:  # pragma: no cover - kernel contract violation
+        if self._reply_key is None:  # pragma: no cover - kernel contract
             raise ProtocolError(
-                f"agent machine stalled (awaiting={awaiting!r})"
+                f"agent machine stalled (awaiting={self.machine.awaiting!r})"
             )
+        reply = self.platform.endpoint.receive(self._reply_key)
         yield reply | self._deadline
         if not reply.processed:
-            # The deadline fired; withdraw the pending receive so it
-            # cannot swallow a message meant for a later epoch check.
-            if not reply.triggered:
-                reply.succeed(None)
+            # The deadline fired: the round is over, and the sync after
+            # this step closes its mailbox.
             fired, self._deadline = self._deadline_kind, None
             self._deadline_kind = None
             return self.machine.on(TimerFired(fired, env.now))

@@ -65,7 +65,6 @@ _OMIT_AT_DEFAULT: Dict[str, Any] = {
     "n_keys": None,
     "workload_chunk": None,
     "ul_retention": None,
-    "inbox_ttl": None,
 }
 
 

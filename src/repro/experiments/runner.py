@@ -95,11 +95,6 @@ class RunConfig:
     workload_chunk: Optional[int] = None
     #: Updated-List retention window in ms (None = paper semantics).
     ul_retention: Optional[float] = None
-    #: Network inbox hygiene window in ms: delivered messages unclaimed
-    #: for longer are reaped (dead claim-round replies otherwise
-    #: accumulate without bound and make long runs quadratic). None =
-    #: keep everything, the exact historical semantics.
-    inbox_ttl: Optional[float] = None
 
     def with_(self, **changes) -> "RunConfig":
         """A modified copy (convenience for sweeps)."""
@@ -201,7 +196,6 @@ def _build_deployment(config: RunConfig) -> Deployment:
         topology=topology,
         faults=config.faults,
         replica_config=replica_config,
-        inbox_ttl=config.inbox_ttl,
     )
 
 

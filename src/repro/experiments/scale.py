@@ -264,16 +264,15 @@ def scale_config(
     seed: int = 0,
     workload_chunk: int = 1024,
     ul_retention: Optional[float] = 15_000.0,
-    inbox_ttl: Optional[float] = 20_000.0,
 ) -> RunConfig:
     """The canonical scale-family RunConfig: streaming + vectorized.
 
-    The two hygiene windows keep long runs linear: ``ul_retention``
-    bounds the Updated List and ``inbox_ttl`` reaps dead claim-round
-    replies. Both comfortably exceed ``grant_ttl`` (10 s) plus any
-    RELEASE/reply propagation delay — the documented safety margins —
-    yet stay small against run length, so they change the memory/scan
-    cost profile, not outcomes.
+    ``ul_retention`` keeps long runs linear by bounding the Updated
+    List. It comfortably exceeds ``grant_ttl`` (10 s) plus any RELEASE
+    propagation delay — the documented safety margin — yet stays small
+    against run length, so it changes the memory cost profile, not
+    outcomes. (Dead claim-round replies need no window: they are
+    dropped at delivery once their round's mailbox is closed.)
 
     The horizon grows with the offered workload (20× the expected
     arrival span, floored at the RunConfig default) so bulk runs —
@@ -294,7 +293,6 @@ def scale_config(
         n_keys=variant.n_keys,
         workload_chunk=workload_chunk,
         ul_retention=ul_retention,
-        inbox_ttl=inbox_ttl,
     )
 
 
@@ -307,7 +305,6 @@ def run_scale(
     seed: int = 0,
     workload_chunk: int = 1024,
     ul_retention: Optional[float] = 15_000.0,
-    inbox_ttl: Optional[float] = 20_000.0,
     runner=None,
 ) -> ScaleFamily:
     """Sweep the offered load per (protocol, variant) pair.
@@ -321,7 +318,7 @@ def run_scale(
         (protocol, variant, gap, scale_config(
             protocol, variant, gap, requests_per_client,
             seed=seed, workload_chunk=workload_chunk,
-            ul_retention=ul_retention, inbox_ttl=inbox_ttl,
+            ul_retention=ul_retention,
         ))
         for protocol in protocols
         for variant in variants

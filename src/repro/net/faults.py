@@ -17,6 +17,7 @@ retry-then-declare-unavailable policy.
 from __future__ import annotations
 
 import bisect
+from itertools import pairwise
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
@@ -43,7 +44,7 @@ class CrashSchedule:
         windows = self._windows.setdefault(host, [])
         windows.append((down_at, up_at))
         windows.sort()
-        for (s1, e1), (s2, _e2) in zip(windows, windows[1:]):
+        for (s1, e1), (s2, _e2) in pairwise(windows):
             if s2 < e1:
                 raise NetworkError(f"overlapping crash windows for {host!r}")
         return self

@@ -14,96 +14,73 @@ fail-stop. Concretely:
   timeout-and-retry logic, and agent *migrations* surface failures to the
   platform's retry policy (paper §2).
 
-Every host gets an :class:`Endpoint` with a filterable inbox; processes
-receive with ``yield endpoint.receive(kind="ACK")``.
+Every host gets an :class:`Endpoint` with one FIFO mailbox per routing
+key (:mod:`repro.net.routing`); processes receive with
+``yield endpoint.receive(key)``. A reply key is opened before the
+request goes out and closed when the round ends, so replies nobody will
+read are dropped at delivery instead of piling up.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Hashable, Iterable, List, Optional
 
 from repro.errors import MigrationError, NetworkError
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel, lan_profile
 from repro.net.message import Message
+from repro.net.routing import route
 from repro.net.stats import NetworkStats
 from repro.net.topology import Topology
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
-from repro.sim.stores import FilterStore
+from repro.sim.stores import Store
 
 __all__ = ["Network", "Endpoint"]
 
 
 class Endpoint:
-    """A host's attachment point: inbox plus convenience senders."""
+    """A host's attachment point: keyed mailboxes plus convenience senders.
 
-    #: Don't bother reaping inboxes shorter than this.
-    REAP_MIN_BACKLOG = 32
+    Each routing key (see :mod:`repro.net.routing`) has its own FIFO
+    :class:`~repro.sim.stores.Store`, so a receive never looks at
+    another key's messages. Service and unrouted keys are always open;
+    a reply key is open from :meth:`open` until :meth:`close`.
+    """
 
     def __init__(self, network: "Network", host: str) -> None:
         self.network = network
         self.host = host
-        self.inbox: FilterStore = FilterStore(network.env)
-        #: expired messages dropped by inbox hygiene (see maybe_reap)
-        self.reaped = 0
-        self._next_reap = 0.0
+        #: routing key -> mailbox; a reply key is present only while open
+        self.mailboxes: Dict[Hashable, Store] = {}
 
-    def maybe_reap(self) -> int:
-        """Drop delivered-but-unclaimed messages older than the
-        network's ``inbox_ttl``; returns how many were dropped.
+    def open(self, key: Hashable) -> None:
+        """Accept replies routed to ``key``; call before sending the
+        request that triggers them."""
+        if key not in self.mailboxes:
+            self.mailboxes[key] = Store(self.network.env)
 
-        A message still sitting in the inbox is one that *no registered
-        waiter matched at delivery time* — under this codebase's
-        protocols every consumer registers its receive in the same
-        zero-delay instant it triggers the reply, so an unclaimed
-        message that has outlived every protocol timeout is dead (the
-        classic case: ACK/NACKs for a claim round the agent abandoned
-        at its deadline). Without hygiene those corpses accumulate
-        without bound and every filtered receive scans past all of
-        them — quadratic wall time on long runs. The reap is amortised
-        (only on delivery, only past :data:`REAP_MIN_BACKLOG`, at most
-        every ``ttl/4``) and purely a function of simulation state, so
-        runs stay bit-deterministic per seed.
-        """
-        ttl = self.network.inbox_ttl
-        if ttl is None:
-            return 0
-        items = self.inbox.items
-        now = self.network.env.now
-        if len(items) < self.REAP_MIN_BACKLOG or now < self._next_reap:
-            return 0
-        self._next_reap = now + ttl / 4.0
-        cutoff = now - ttl
-        kept = deque(m for m in items if m.sent_at >= cutoff)
-        dropped = len(items) - len(kept)
-        if dropped:
-            self.inbox.items = kept
-            self.reaped += dropped
-            self.network.stats.record_expired(dropped)
-        return dropped
+    def close(self, key: Hashable) -> None:
+        """End the round behind ``key``: its queued and any later
+        replies are dropped and counted as expired."""
+        box = self.mailboxes.pop(key, None)
+        if box is not None and box.items:
+            self.network.stats.record_expired(len(box.items))
 
-    def receive(
-        self,
-        kind: Optional[str] = None,
-        match: Optional[Callable[[Message], bool]] = None,
-    ):
-        """Event that fires with the next matching message.
+    def receive(self, key: Hashable):
+        """Event that fires with the next message routed to ``key``."""
+        self.open(key)
+        return self.mailboxes[key].get()
 
-        Without arguments, receives the oldest queued message of any kind.
-        """
-        if kind is None and match is None:
-            return self.inbox.get()
-
-        def _filter(msg: Message) -> bool:
-            if kind is not None and msg.kind != kind:
-                return False
-            if match is not None and not match(msg):
-                return False
-            return True
-
-        return self.inbox.get(_filter)
+    def deliver(self, msg: Message) -> None:
+        """Queue an arrived message in its mailbox, or drop a reply
+        whose round is closed."""
+        key, is_reply = route(msg)
+        if is_reply and key not in self.mailboxes:
+            self.network.stats.record_expired()
+            return
+        self.open(key)
+        self.mailboxes[key].put(msg)
 
     def send(
         self,
@@ -150,7 +127,7 @@ class Endpoint:
     @property
     def pending(self) -> int:
         """Number of queued, unreceived messages."""
-        return len(self.inbox.items)
+        return sum(len(box.items) for box in self.mailboxes.values())
 
     def __repr__(self) -> str:
         return f"<Endpoint {self.host!r} pending={self.pending}>"
@@ -192,7 +169,6 @@ class Network:
         streams: Optional[RandomStreams] = None,
         scale_by_cost: bool = True,
         fifo_links: bool = False,
-        inbox_ttl: Optional[float] = None,
     ) -> None:
         self.env = env
         self.topology = topology
@@ -201,13 +177,6 @@ class Network:
         self.streams = streams or RandomStreams(0)
         self.scale_by_cost = scale_by_cost
         self.fifo_links = fifo_links
-        if inbox_ttl is not None and inbox_ttl <= 0:
-            raise NetworkError(f"inbox_ttl must be positive: {inbox_ttl}")
-        #: Inbox hygiene window (ms): delivered messages unclaimed for
-        #: longer than this are reaped (see Endpoint.maybe_reap).
-        #: None (default) keeps every unclaimed message forever — the
-        #: exact historical semantics.
-        self.inbox_ttl = inbox_ttl
         self.stats = NetworkStats()
         self.endpoints: Dict[str, Endpoint] = {}
         self._latency_stream = self.streams.stream("net.latency")
@@ -255,11 +224,11 @@ class Network:
 
     def send(self, msg: Message) -> None:
         """Asynchronously transmit ``msg``; never blocks the sender."""
+        if msg.dst not in self.endpoints:
+            raise NetworkError(f"unknown destination host {msg.dst!r}")
         msg.sent_at = self.env.now
         self.stats.record_send(msg.category, msg.kind, msg.size_bytes)
 
-        if msg.dst not in self.endpoints:
-            raise NetworkError(f"unknown destination host {msg.dst!r}")
         if not self.host_up(msg.src):
             # A crashed host cannot send; account and drop.
             self.stats.record_drop(msg.category, msg.kind)
@@ -289,12 +258,7 @@ class Network:
             # Fail-stop destination: the message vanishes.
             self.stats.record_drop(msg.category, msg.kind)
             return
-        # Re-fetch: the destination cannot have unregistered, but keep the
-        # lookup close to delivery for symmetry with live backends.
-        endpoint = self.endpoints[msg.dst]
-        endpoint.inbox.put(msg)
-        if self.inbox_ttl is not None:
-            endpoint.maybe_reap()
+        self.endpoints[msg.dst].deliver(msg)
 
     # -- agent migration ------------------------------------------------------
 

@@ -51,7 +51,7 @@ class NetworkStats:
         )
         self._obs_expired = hub.counter(
             "net_expired_total",
-            "unclaimed messages reaped by inbox hygiene",
+            "replies dropped at delivery for a closed round",
             (),
         )
 
@@ -71,8 +71,8 @@ class NetworkStats:
             self._obs_dropped.inc(category=category, kind=kind)
 
     def record_expired(self, count: int = 1) -> None:
-        """Delivered-but-never-claimed messages reaped by inbox
-        hygiene (distinct from :meth:`record_drop`: these *arrived*)."""
+        """Replies that arrived for a closed round and were discarded
+        (distinct from :meth:`record_drop`: these *arrived*)."""
         self.expired += count
         if self._hub is not None:
             self._obs_expired.inc(count)

@@ -308,7 +308,7 @@ def _scn_scale(name: str, protocol: str, quick_requests: int,
                full_requests: int, gap: float = 100.0,
                n_replicas: int = 5) -> ScenarioFn:
     """A streaming Zipf scale scenario (canonical ``scale_config``:
-    256 keys, skew 0.99, vectorized workload, hygiene windows),
+    256 keys, skew 0.99, vectorized workload, UL retention window),
     isolated in a subprocess for a clean peak-RSS reading."""
 
     def fn(quick: bool):

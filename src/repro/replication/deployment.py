@@ -49,10 +49,6 @@ class Deployment:
         deployment with. Defaults to the process-wide hub installed via
         :func:`repro.obs.enable` (``None``/disabled → no telemetry and
         no overhead).
-    inbox_ttl:
-        Network inbox hygiene window in ms (see
-        :meth:`repro.net.network.Endpoint.maybe_reap`); ``None``
-        (default) never reaps — the exact historical semantics.
     """
 
     def __init__(
@@ -67,7 +63,6 @@ class Deployment:
         cost_model: Optional[MigrationCostModel] = None,
         host_prefix: str = "s",
         obs=None,
-        inbox_ttl: Optional[float] = None,
     ) -> None:
         from repro.obs.hub import get_hub
 
@@ -95,7 +90,6 @@ class Deployment:
             latency=latency if latency is not None else lan_profile(),
             faults=self.faults,
             streams=self.streams,
-            inbox_ttl=inbox_ttl,
         )
         if self.obs is not None:
             self.network.attach_observability(self.obs)

@@ -47,6 +47,7 @@ from repro.core.machines.wire import (
 )
 from repro.net.message import Message
 from repro.net.network import Endpoint, Network
+from repro.net.routing import REPLICA
 from repro.sim.core import Environment
 from repro.sim.events import Event
 
@@ -261,17 +262,9 @@ class ReplicaServer:
     # Message handling (Algorithm 2's message clauses)
     # ------------------------------------------------------------------
 
-    _HANDLED_KINDS = (
-        "UPDATE", "COMMIT", "ABORT", "RELEASE",
-        "SYNC_REQUEST", "SYNC_REPLY", "READQ",
-    )
-
     def _message_loop(self):
-        handled = set(self._HANDLED_KINDS)
         while True:
-            msg: Message = yield self.endpoint.receive(
-                match=lambda m: m.kind in handled
-            )
+            msg: Message = yield self.endpoint.receive(REPLICA)
             if not self.network.host_up(self.host):
                 # Fail-stop: a crashed server processes nothing. (Messages
                 # delivered during the crash window are already dropped by

@@ -24,9 +24,8 @@ from repro.sim.core import NORMAL, URGENT, Environment, Process, Timeout
 from repro.sim.events import PENDING, Event
 from repro.sim.interrupts import Interrupt
 from repro.sim.monitor import Monitor, StateMonitor
-from repro.sim.resources import PriorityResource, Request, Resource
 from repro.sim.rng import RandomStreams, Stream
-from repro.sim.stores import FilterStore, PriorityItem, PriorityStore, Store
+from repro.sim.stores import FilterStore, Store
 
 __all__ = [
     "Environment",
@@ -39,11 +38,6 @@ __all__ = [
     "Condition",
     "Store",
     "FilterStore",
-    "PriorityStore",
-    "PriorityItem",
-    "Resource",
-    "PriorityResource",
-    "Request",
     "Monitor",
     "StateMonitor",
     "RandomStreams",

@@ -1,22 +1,20 @@
 """Producer/consumer channels for processes.
 
 :class:`Store` is an asynchronous FIFO buffer: ``put`` and ``get`` return
-events a process yields on. :class:`FilterStore` lets consumers wait for
-the first item matching a predicate. :class:`PriorityStore` delivers items
-in priority order. These are the building blocks used by mailboxes in the
-network substrate and by the agent platforms.
+events a process yields on; the network's per-key mailboxes are plain
+stores. :class:`FilterStore` lets consumers wait for the first item
+matching a predicate.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
 
-__all__ = ["Store", "FilterStore", "PriorityStore", "PriorityItem"]
+__all__ = ["Store", "FilterStore"]
 
 
 class StorePut(Event):
@@ -157,51 +155,4 @@ class FilterStore(Store):
             if event.filter(item):
                 del self.items[index]
                 return item
-        return _NO_ITEM
-
-
-class PriorityItem:
-    """Wrapper pairing a sortable priority with an arbitrary payload.
-
-    Lower priority values are delivered first; ties are FIFO (stable via a
-    monotone sequence number assigned at insertion).
-    """
-
-    __slots__ = ("priority", "item", "_seq")
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-        self._seq = 0
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self._seq < other._seq
-
-    def __repr__(self) -> str:
-        return f"PriorityItem({self.priority!r}, {self.item!r})"
-
-
-class PriorityStore(Store):
-    """A store that releases the lowest-priority item first.
-
-    Items must be :class:`PriorityItem` instances (or anything mutually
-    orderable).
-    """
-
-    def __init__(self, env, capacity: float = float("inf")) -> None:
-        super().__init__(env, capacity)
-        self.items: List[Any] = []  # heap
-        self._insert_seq = 0
-
-    def _insert(self, item: Any) -> None:
-        if isinstance(item, PriorityItem):
-            self._insert_seq += 1
-            item._seq = self._insert_seq
-        heapq.heappush(self.items, item)
-
-    def _extract(self, event: StoreGet) -> Any:
-        if self.items:
-            return heapq.heappop(self.items)
         return _NO_ITEM

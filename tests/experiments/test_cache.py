@@ -52,7 +52,6 @@ FIELD_CHANGES = {
     "n_keys": 32,
     "workload_chunk": 256,
     "ul_retention": 5_000.0,
-    "inbox_ttl": 10_000.0,
 }
 
 

@@ -26,6 +26,7 @@ import repro
 from repro.experiments.cache import result_fingerprint
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import RunConfig, run_once, run_repeats
+from repro.net.faults import CrashSchedule, FaultPlan
 
 CONFIG = RunConfig(
     n_replicas=5, seed=42, mean_interarrival=40.0, requests_per_client=5
@@ -108,3 +109,77 @@ def test_protocols_deterministic_through_engine(engine_runner, protocol):
     assert result_fingerprint(engine_runner.run_one(config)) == (
         result_fingerprint(run_once(config))
     )
+
+
+# -- golden fingerprints ------------------------------------------------------
+#
+# One small seeded run per protocol, pinned to its exact measured
+# surface. These cover every receive path of every protocol (MARP claim
+# rounds and quorum reads, the quorum baselines' grant and read rounds,
+# available-copies' per-host lock ladder, primary-copy's DONE wait), so
+# a change to message delivery or to how replies are matched that
+# shifts any timing, order or outcome shows up here. The crash cases
+# make MCV's lock timeout and available-copies' detection timeout fire.
+
+_GOLDEN_BASE = RunConfig(
+    n_replicas=5, seed=7, mean_interarrival=40.0, requests_per_client=6,
+    write_fraction=0.5, keys=("x", "y"),
+)
+
+
+def _minority_crash() -> FaultPlan:
+    return FaultPlan(
+        crashes=CrashSchedule()
+        .add("s2", 50.0, 1500.0)
+        .add("s4", 50.0, 1500.0)
+    )
+
+
+GOLDEN = {
+    "marp-local": (
+        {},
+        "6d4f9845e5027b5d50564dede132e87a134fe0c1e90bd82f50737384a387bb14",
+    ),
+    "marp-quorum": (
+        {"read_strategy": "quorum"},
+        "d284510fd426660b5dd52ac47fe202c0046d9bd2c3ad0c50a2cbc62f52e7cc99",
+    ),
+    "mcv": (
+        {"protocol": "mcv"},
+        "baddd18fdf6797b18f4254f29ee7e13f98f3273f750ff35b9897a497d57e7ded",
+    ),
+    "weighted-voting": (
+        {"protocol": "weighted-voting"},
+        "30e79d98442dfdcca681134cbc9c7498c30fc45246c9df77f2a01189ab46b71c",
+    ),
+    "available-copies": (
+        {"protocol": "available-copies"},
+        "1211d8b1234782dbeb2c5c00f3cb848c009bbdd892fac182974829dec1b0b071",
+    ),
+    "primary-copy": (
+        {"protocol": "primary-copy"},
+        "37767f9539d0b0119a70fe5fb771a41cc3c8892d8c53fbc9bfbb6e50ba9f89fc",
+    ),
+    "mcv-crash": (
+        {"protocol": "mcv", "faults": "crash"},
+        "a1b5466c16bd28dcd43b0bd93b3481b18ef36fdd13162580c131235c3aca3d77",
+    ),
+    "available-copies-crash": (
+        {"protocol": "available-copies", "faults": "crash"},
+        "8e5df78b1947275789ff578a2a6eda3cffc79ec1642ba42d5ad4573e4972571d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_fingerprint(case):
+    changes, expected = GOLDEN[case]
+    changes = dict(changes)
+    if changes.get("faults") == "crash":
+        changes["faults"] = _minority_crash()
+    result = run_once(_GOLDEN_BASE.with_(**changes))
+    assert result_fingerprint(result) == expected
+    if case == "mcv-crash":  # the lock-timeout path ran
+        assert result.failed > 0
+    if case == "available-copies-crash":  # the detection timeout fired
+        assert any(r.extra.get("skipped") for r in result.records)

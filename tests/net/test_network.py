@@ -5,14 +5,23 @@ import pytest
 from repro.errors import MigrationError, NetworkError
 from repro.net.faults import CrashSchedule, FaultPlan, TransientLinkFaults
 from repro.net.latency import ConstantLatency
+from repro.net.message import Message
 from repro.net.network import Network
+from repro.net.routing import (
+    REPLICA,
+    REPLICA_KINDS,
+    claim_key,
+    daemon_key,
+    grant_key,
+    ladder_key,
+    route,
+)
 from repro.net.topology import Topology
 from repro.sim.rng import RandomStreams
 
 
 def make_network(env, hosts=("a", "b", "c"), latency=None, faults=None,
-                 cost=1.0, scale_by_cost=True, fifo_links=False,
-                 inbox_ttl=None):
+                 cost=1.0, scale_by_cost=True, fifo_links=False):
     topo = Topology.full_mesh(list(hosts), cost=cost)
     network = Network(
         env,
@@ -22,10 +31,13 @@ def make_network(env, hosts=("a", "b", "c"), latency=None, faults=None,
         streams=RandomStreams(0),
         scale_by_cost=scale_by_cost,
         fifo_links=fifo_links,
-        inbox_ttl=inbox_ttl,
     )
     endpoints = {h: network.register(h) for h in hosts}
     return network, endpoints
+
+
+def _ack(batch_id, epoch):
+    return {"batch_id": batch_id, "epoch": epoch, "from": "a"}
 
 
 class TestRegistration:
@@ -45,7 +57,7 @@ class TestDelivery:
         _network, eps = make_network(env)
 
         def receiver(env):
-            msg = yield eps["b"].receive()
+            msg = yield eps["b"].receive("PING")
             assert msg.payload == "hello"
             assert env.now == 2.0
 
@@ -58,7 +70,7 @@ class TestDelivery:
         arrival = []
 
         def receiver(env):
-            yield eps["b"].receive()
+            yield eps["b"].receive("PING")
             arrival.append(env.now)
 
         eps["a"].send("b", "PING")
@@ -71,7 +83,7 @@ class TestDelivery:
         arrival = []
 
         def receiver(env):
-            yield eps["b"].receive()
+            yield eps["b"].receive("PING")
             arrival.append(env.now)
 
         eps["a"].send("b", "PING")
@@ -84,7 +96,7 @@ class TestDelivery:
         arrival = []
 
         def receiver(env):
-            yield eps["a"].receive()
+            yield eps["a"].receive("LOOP")
             arrival.append(env.now)
 
         eps["a"].send("a", "LOOP")
@@ -93,16 +105,19 @@ class TestDelivery:
         assert arrival == [0.0]
 
     def test_unknown_destination_rejected(self, env):
-        _network, eps = make_network(env)
+        network, eps = make_network(env)
+        eps["a"].send("b", "PING")
         with pytest.raises(NetworkError):
             eps["a"].send("nowhere", "PING")
+        # a rejected message is not counted as sent
+        assert network.stats.total_messages() == 1
 
     def test_receive_filters_by_kind(self, env):
         _network, eps = make_network(env)
         got = []
 
         def receiver(env):
-            msg = yield eps["b"].receive(kind="WANTED")
+            msg = yield eps["b"].receive("WANTED")
             got.append(msg.kind)
 
         eps["a"].send("b", "NOISE")
@@ -113,20 +128,21 @@ class TestDelivery:
         assert eps["b"].pending == 1  # NOISE still queued
 
     def test_receive_filters_by_match(self, env):
-        _network, eps = make_network(env)
+        """Replies are matched by their round's key, not by a scan."""
+        network, eps = make_network(env)
         got = []
 
         def receiver(env):
-            msg = yield eps["b"].receive(
-                kind="ACK", match=lambda m: m.payload == 2
-            )
-            got.append(msg.payload)
+            msg = yield eps["b"].receive(claim_key(7, 1))
+            got.append(msg.payload["batch_id"])
 
-        eps["a"].send("b", "ACK", 1)
-        eps["a"].send("b", "ACK", 2)
+        eps["b"].open(claim_key(7, 1))
+        eps["a"].send("b", "ACK", _ack(6, 1))
+        eps["a"].send("b", "ACK", _ack(7, 1))
         env.process(receiver(env))
         env.run()
-        assert got == [2]
+        assert got == [7]
+        assert network.stats.expired == 1  # batch 6's round is not open
 
     def test_broadcast_excludes_self_by_default(self, env):
         _network, eps = make_network(env)
@@ -193,7 +209,7 @@ class TestFifoLinks:
 
         def receiver(env):
             for _ in range(count):
-                msg = yield eps["b"].receive()
+                msg = yield eps["b"].receive("SEQ")
                 received.append(msg.payload)
 
         for index in range(count):
@@ -226,7 +242,7 @@ class TestFifoLinks:
         arrivals = []
 
         def receiver(env, name):
-            msg = yield eps[name].receive()
+            msg = yield eps[name].receive("X")
             arrivals.append((name, env.now, msg.payload))
 
         eps["a"].send("b", "X", "ab")
@@ -291,75 +307,116 @@ class TestAttemptTransfer:
         assert network.stats.total_bytes("agent") == 2048
 
 
-class TestInboxHygiene:
-    """The opt-in inbox TTL: dead unclaimed messages (e.g. ACK/NACKs
-    for an abandoned claim round) are reaped on later deliveries."""
+class TestRouting:
+    def test_replica_service_covers_the_replica_machine(self):
+        from repro.core.machines.replica import HANDLED_KINDS
 
-    def test_invalid_ttl_rejected(self, env):
-        with pytest.raises(NetworkError):
-            make_network(env, inbox_ttl=0.0)
-        with pytest.raises(NetworkError):
-            make_network(env, inbox_ttl=-5.0)
+        assert set(REPLICA_KINDS) == set(HANDLED_KINDS)
 
-    def test_default_keeps_unclaimed_messages_forever(self, env):
+    def test_each_message_maps_to_one_key(self):
+        grant = {"rid": 4, "epoch": 2, "from": "s3"}
+        cases = [
+            ("UPDATE", None, REPLICA, False),
+            ("MCV_LOCK", None, daemon_key("MCV"), False),
+            ("WV_READV", None, daemon_key("WV"), False),
+            ("ACK", _ack(9, 3), claim_key(9, 3), True),
+            ("NACK", _ack(9, 3), claim_key(9, 3), True),
+            ("MCV_GRANT", grant, grant_key("MCV", 4, 2), True),
+            ("MCV_NACK", grant, grant_key("MCV", 4, 2), True),
+            ("AC_GRANT", grant, ladder_key(4, "s3"), True),
+            ("PING", None, "PING", False),
+        ]
+        for kind, payload, key, is_reply in cases:
+            msg = Message(src="a", dst="b", kind=kind, payload=payload)
+            assert route(msg) == (key, is_reply), kind
+
+
+class TestMailboxes:
+    """Per-key mailboxes: a reply key is open from ``open`` to
+    ``close``; replies for a key that is not open are dropped at
+    delivery and counted as expired, never as network drops."""
+
+    def test_reply_to_unopened_key_is_dropped_at_delivery(self, env):
+        network, eps = make_network(env)
+        eps["a"].send("b", "ACK", _ack(1, 1))
+        env.run()
+        assert eps["b"].pending == 0
+        assert network.stats.expired == 1
+        assert network.stats.total_dropped() == 0
+
+    def test_open_key_queues_in_fifo_order(self, env):
         _network, eps = make_network(env)
-
-        def late(env):
-            yield env.timeout(10_000.0)
-            eps["a"].send("b", "PING")
-
-        for index in range(40):
-            eps["a"].send("b", "ACK", index)
-        env.process(late(env))
-        env.run()
-        assert len(eps["b"].inbox.items) == 41  # historical semantics
-        assert eps["b"].reaped == 0
-
-    def test_stale_backlog_reaped_on_fresh_delivery(self, env):
-        network, eps = make_network(env, inbox_ttl=100.0)
-
-        def late(env):
-            yield env.timeout(200.0)
-            eps["a"].send("b", "PING")
-
-        for index in range(40):
-            eps["a"].send("b", "ACK", index)  # all sent at t=0
-        env.process(late(env))
-        env.run()
-        # the t=200 delivery finds 40 messages older than the ttl
-        assert eps["b"].reaped == 40
-        assert [m.kind for m in eps["b"].inbox.items] == ["PING"]
-        assert network.stats.expired == 40
-
-    def test_small_backlogs_are_left_alone(self, env):
-        """Below REAP_MIN_BACKLOG the scan cost is trivial, so even
-        stale messages stay (cheaper than scanning tiny inboxes)."""
-        _network, eps = make_network(env, inbox_ttl=100.0)
-
-        def late(env):
-            yield env.timeout(500.0)
-            eps["a"].send("b", "PING")
-
-        for index in range(10):
-            eps["a"].send("b", "ACK", index)
-        env.process(late(env))
-        env.run()
-        assert eps["b"].reaped == 0
-        assert len(eps["b"].inbox.items) == 11
-
-    def test_fresh_messages_survive_and_are_claimable(self, env):
-        _network, eps = make_network(env, inbox_ttl=100.0)
         got = []
 
-        def flood_then_claim(env):
-            for index in range(40):
-                eps["a"].send("b", "ACK", index)
-            yield env.timeout(200.0)
-            eps["a"].send("b", "DATA", "fresh")
-            msg = yield eps["b"].receive(kind="DATA")
-            got.append(msg.payload)
+        def receiver(env):
+            yield env.timeout(10.0)  # both replies wait in the mailbox
+            for _ in range(2):
+                msg = yield eps["b"].receive(claim_key(1, 1))
+                got.append(msg.payload["from"])
 
-        env.process(flood_then_claim(env))
+        eps["b"].open(claim_key(1, 1))
+        eps["a"].send("b", "ACK", _ack(1, 1))
+        eps["c"].send("b", "ACK", dict(_ack(1, 1), **{"from": "c"}))
+        env.process(receiver(env))
         env.run()
-        assert got == ["fresh"]
-        assert eps["b"].reaped == 40
+        assert got == ["a", "c"]
+
+    def test_close_expires_queued_and_later_replies(self, env):
+        network, eps = make_network(env)
+        key = claim_key(1, 1)
+
+        def round_(env):
+            eps["b"].open(key)
+            eps["a"].send("b", "ACK", _ack(1, 1))
+            yield env.timeout(5.0)  # the reply is queued, never read
+            eps["b"].close(key)
+            eps["a"].send("b", "ACK", _ack(1, 1))  # arrives after close
+
+        env.process(round_(env))
+        env.run()
+        assert eps["b"].pending == 0
+        assert key not in eps["b"].mailboxes
+        assert network.stats.expired == 2
+
+    def test_unrouted_kinds_are_always_open(self, env):
+        _network, eps = make_network(env)
+        eps["a"].send("b", "PING")
+        env.run()
+        assert eps["b"].pending == 1
+        assert eps["b"].mailboxes["PING"].items[0].kind == "PING"
+
+
+#: Replies that a single predicate-scanned inbox per host leaves unclaimed
+#: at the end of the two runs below: every ACK past the claim majority,
+#: and every MCV_GRANT/NACK/RVAL past the quorum.
+_DEAD_REPLIES = {"marp": 119, "mcv": 123}
+
+
+class TestDeadReplyBacklog:
+    """Replies past a majority or quorum are dropped at delivery (or
+    when their round closes) instead of accumulating in the inboxes."""
+
+    @pytest.mark.parametrize("protocol", sorted(_DEAD_REPLIES))
+    def test_no_reply_outlives_its_round(self, protocol):
+        from repro.experiments.runner import RunConfig, run_once
+
+        config = RunConfig(
+            n_replicas=5, seed=3, mean_interarrival=40.0,
+            requests_per_client=12,
+        )
+        if protocol == "mcv":
+            config = config.with_(
+                protocol="mcv", write_fraction=0.5, keys=("x", "y", "z")
+            )
+        result = run_once(config)
+        network = result.deployment.network
+        assert result.audit.consistent
+        queued_replies = [
+            msg
+            for endpoint in network.endpoints.values()
+            for box in endpoint.mailboxes.values()
+            for msg in box.items
+            if route(msg)[1]
+        ]
+        assert queued_replies == []
+        assert network.stats.expired == _DEAD_REPLIES[protocol]

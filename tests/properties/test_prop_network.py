@@ -34,7 +34,7 @@ def test_reliable_channels_deliver_exactly_once(count, seed, fifo):
 
     def receiver(env):
         for _ in range(count):
-            msg = yield eps["b"].receive()
+            msg = yield eps["b"].receive("SEQ")
             received.append(msg.payload)
 
     for index in range(count):
@@ -57,7 +57,7 @@ def test_fifo_links_never_reorder(count, seed):
 
     def receiver(env):
         for _ in range(count):
-            msg = yield eps["b"].receive()
+            msg = yield eps["b"].receive("SEQ")
             received.append(msg.payload)
 
     for index in range(count):

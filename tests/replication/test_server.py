@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.agents.identity import AgentId
+from repro.net.routing import claim_key, read_key
 from repro.replication.deployment import Deployment
 from repro.replication.server import SharedView, UpdatePayload, WriteOp
 
@@ -103,9 +104,10 @@ class TestGrantMachinery:
         received = []
 
         def listener(env):
-            msg = yield sender.receive(kind="ACK")
+            msg = yield sender.receive(claim_key(1, 1))
             received.append(msg.payload)
 
+        sender.open(claim_key(1, 1))
         dep.env.process(listener(dep.env))
         sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
         dep.run(until=100)
@@ -117,12 +119,12 @@ class TestGrantMachinery:
         kinds = []
 
         def listener(env):
-            for _ in range(2):
-                msg = yield sender.receive(
-                    match=lambda m: m.kind in ("ACK", "NACK")
-                )
+            for batch in (1, 2):
+                msg = yield sender.receive(claim_key(batch, 1))
                 kinds.append(msg.kind)
 
+        sender.open(claim_key(1, 1))
+        sender.open(claim_key(2, 1))
         dep.env.process(listener(dep.env))
         sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
         sender.send("s1", "UPDATE", payload(2, reply_to="s2"))
@@ -134,12 +136,12 @@ class TestGrantMachinery:
         kinds = []
 
         def listener(env):
-            for _ in range(2):
-                msg = yield sender.receive(
-                    match=lambda m: m.kind in ("ACK", "NACK")
-                )
+            for epoch in (1, 2):
+                msg = yield sender.receive(claim_key(1, epoch))
                 kinds.append(msg.kind)
 
+        sender.open(claim_key(1, 1))
+        sender.open(claim_key(1, 2))
         dep.env.process(listener(dep.env))
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=1))
         sender.send("s1", "UPDATE", payload(1, reply_to="s2", epoch=2))
@@ -193,16 +195,14 @@ class TestGrantMachinery:
         kinds = []
 
         def listener(env):
+            sender.open(claim_key(1, 1))
             sender.send("s1", "UPDATE", payload(1, reply_to="s2"))
-            msg = yield sender.receive(
-                match=lambda m: m.kind in ("ACK", "NACK")
-            )
+            msg = yield sender.receive(claim_key(1, 1))
             kinds.append(msg.kind)
             yield env.timeout(50)  # let the TTL lapse
+            sender.open(claim_key(2, 1))
             sender.send("s1", "UPDATE", payload(2, reply_to="s2"))
-            msg = yield sender.receive(
-                match=lambda m: m.kind in ("ACK", "NACK")
-            )
+            msg = yield sender.receive(claim_key(2, 1))
             kinds.append(msg.kind)
 
         dep.env.process(listener(dep.env))
@@ -265,9 +265,10 @@ class TestReadQueryAndSync:
         replies = []
 
         def listener(env):
-            msg = yield asker.receive(kind="READR")
+            msg = yield asker.receive(read_key(9))
             replies.append(msg.payload)
 
+        asker.open(read_key(9))
         dep.env.process(listener(dep.env))
         asker.send("s1", "READQ", {"request_id": 9, "key": "x"})
         dep.run(until=100)
@@ -279,9 +280,10 @@ class TestReadQueryAndSync:
         replies = []
 
         def listener(env):
-            msg = yield asker.receive(kind="READR")
+            msg = yield asker.receive(read_key(9))
             replies.append(msg.payload)
 
+        asker.open(read_key(9))
         dep.env.process(listener(dep.env))
         asker.send("s1", "READQ", {"request_id": 9, "key": "ghost"})
         dep.run(until=100)

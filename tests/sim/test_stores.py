@@ -1,9 +1,9 @@
-"""Unit tests for Store / FilterStore / PriorityStore."""
+"""Unit tests for Store / FilterStore."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.stores import FilterStore, PriorityItem, PriorityStore, Store
+from repro.sim.stores import FilterStore, Store
 
 
 class TestStore:
@@ -154,55 +154,3 @@ class TestFilterStore:
         env.process(consumer(env))
         env.run()
         assert out == ["a", "b"]
-
-
-class TestPriorityStore:
-    def test_lowest_priority_first(self, env):
-        store = PriorityStore(env)
-        out = []
-
-        def producer(env):
-            yield store.put(PriorityItem(3, "low"))
-            yield store.put(PriorityItem(1, "high"))
-            yield store.put(PriorityItem(2, "mid"))
-
-        def consumer(env):
-            yield env.timeout(1)  # let the producer fill the heap first
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item.item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == ["high", "mid", "low"]
-
-    def test_equal_priority_fifo(self, env):
-        store = PriorityStore(env)
-        out = []
-
-        def producer(env):
-            for tag in ("first", "second", "third"):
-                yield store.put(PriorityItem(5, tag))
-
-        def consumer(env):
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item.item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == ["first", "second", "third"]
-
-
-def test_priority_item_ordering():
-    a = PriorityItem(1, "a")
-    b = PriorityItem(2, "b")
-    assert a < b
-    assert not (b < a)
-
-
-def test_priority_item_repr():
-    assert "PriorityItem(1, 'x')" == repr(PriorityItem(1, "x"))
